@@ -92,7 +92,10 @@ class Authority {
 
   std::size_t replica_count() const;
   /// Largest epoch gap between the store and any replica's cumulative ack
-  /// (0 when fully converged or no replicas).
+  /// (0 when fully converged or no replicas). This is the authority's view,
+  /// built from the acks it has received: it trails a replica-local
+  /// `Replica::wait_for_epoch` until that replica's ack is delivered, which
+  /// without loss takes at most about one `heartbeat_interval` plus delivery.
   std::uint64_t replica_lag() const;
 
  private:

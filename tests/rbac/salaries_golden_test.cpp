@@ -2,6 +2,8 @@
 // rendered in the canonical table layout and checked verbatim.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rbac/fixtures.hpp"
 
 namespace mwsec::rbac {
@@ -28,6 +30,13 @@ struct Fig1Case {
   const char* permission;
   bool expect;
 };
+
+// Without a printer gtest renders the raw bytes of the struct (two pointers
+// and padding) into each case's listed name, so the name ctest registers
+// changes from build to build.
+void PrintTo(const Fig1Case& c, std::ostream* os) {
+  *os << c.user << ' ' << c.permission << (c.expect ? " permit" : " deny");
+}
 
 class Figure1Matrix : public ::testing::TestWithParam<Fig1Case> {};
 

@@ -4,6 +4,9 @@
 // loss).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "authz/caching.hpp"
 #include "authz/keynote_authorizer.hpp"
 #include "net/network.hpp"
@@ -256,7 +259,14 @@ TEST(Replication, ManyReplicasAllConverge) {
   }
   EXPECT_EQ(authority.replica_count(), kReplicas);
 
-  // Converged: no replica lags.
+  // Converged: no replica lags. The authority's view comes from acks that
+  // are sent after each replica applies, so it trails the replica-local
+  // waits above; give the acks the same budget as the applies.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (authority.replica_lag() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_EQ(authority.replica_lag(), 0u);
 }
 
